@@ -43,7 +43,7 @@ fn bench_interp_vs_compiled(c: &mut Criterion) {
         let prog = synergy::codegen::compile(&design).unwrap();
         group.bench_function(&format!("{}_compiled", bench.name), |b| {
             b.iter(|| {
-                let mut sim = synergy::codegen::CompiledSim::new(prog.clone());
+                let mut sim = synergy::codegen::CompiledSim::new(prog.clone()).unwrap();
                 let mut env = synergy::interp::BufferEnv::new();
                 if let Some((path, data)) = &input {
                     env.add_file(path.clone(), data.clone());
@@ -53,50 +53,6 @@ fn bench_interp_vs_compiled(c: &mut Criterion) {
                 }
             })
         });
-    }
-    group.finish();
-}
-
-/// Tentpole comparison (PR 4): ticks/sec of the compiled engine's stack
-/// bytecode tier versus the register-allocated word tier on every Table-1
-/// workload. Simulators are translated once and cloned per invocation so
-/// the timed region is steady-state ticking, not compilation.
-/// `BENCH_interp_vs_compiled.json` records the measured rates and the
-/// per-workload `regalloc_over_stack` ratios the `regress` gate enforces.
-fn bench_compiled_vs_regalloc(c: &mut Criterion) {
-    const TICKS: usize = 200;
-    let mut group = c.benchmark_group("compiled_vs_regalloc");
-    for bench in synergy_workloads::all() {
-        let design = synergy::vlog::compile(&bench.source, &bench.top).unwrap();
-        let prog = synergy::codegen::compile(&design).unwrap();
-        let input = bench.input_path.as_ref().map(|p| {
-            (
-                p.clone(),
-                synergy_workloads::input_data(&bench.name, 4 * TICKS),
-            )
-        });
-        for tier in [
-            synergy::codegen::Tier::Stack,
-            synergy::codegen::Tier::RegAlloc,
-        ] {
-            let base = synergy::codegen::CompiledSim::with_tier(prog.clone(), tier).unwrap();
-            let suffix = match tier {
-                synergy::codegen::Tier::Stack => "stack",
-                synergy::codegen::Tier::RegAlloc => "regalloc",
-            };
-            group.bench_function(&format!("{}_{}", bench.name, suffix), |b| {
-                b.iter(|| {
-                    let mut sim = base.clone();
-                    let mut env = synergy::interp::BufferEnv::new();
-                    if let Some((path, data)) = &input {
-                        env.add_file(path.clone(), data.clone());
-                    }
-                    for _ in 0..TICKS {
-                        sim.tick(&bench.clock, &mut env).unwrap();
-                    }
-                })
-            });
-        }
     }
     group.finish();
 }
@@ -230,7 +186,6 @@ criterion_group! {
     config = config();
     targets =
         bench_interp_vs_compiled,
-        bench_compiled_vs_regalloc,
         bench_fig9_suspend_resume,
         bench_fig10_migration,
         bench_fig11_temporal,

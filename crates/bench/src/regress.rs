@@ -4,11 +4,8 @@
 //! compares them against the checked-in `BENCH_*.json` baselines:
 //!
 //! * `BENCH_interp_vs_compiled.json` — per workload, the default compiled
-//!   engine's (optimized regalloc tier) speedup over the interpreter
-//!   (PR 1/2's tentpole win), the regalloc tier's `regalloc_over_stack`
-//!   ratio over the stack-bytecode tier (PR 4's tentpole win), and the
-//!   netlist optimizer's `opt_over_o0` ratio on the regalloc tier (PR 8's
-//!   tentpole win);
+//!   engine's (optimized regalloc tier) speedup over the interpreter and
+//!   the netlist optimizer's `opt_over_o0` ratio on the regalloc tier;
 //! * `BENCH_hv_scaling.json` — the parallel scheduler's model speedup for
 //!   the 8-worker / 32-tenant mixed fleet (PR 3's tentpole win);
 //! * `BENCH_telemetry.json` — the telemetry subsystem's overhead budget:
@@ -76,16 +73,9 @@ fn handicap() -> f64 {
 #[derive(Clone, Copy)]
 enum Measured {
     Interpreter,
-    /// A compiled tier; `opt` selects whether the netlist optimization
-    /// pipeline (synergy-opt, the default at runtime) runs first.
-    Compiled(synergy::codegen::Tier, OptState),
-}
-
-/// Whether the measured program went through the optimizer.
-#[derive(Clone, Copy)]
-enum OptState {
-    O0,
-    Optimized,
+    /// The compiled engine, after the netlist optimization pipeline
+    /// (synergy-opt, the default at runtime).
+    Compiled,
 }
 
 /// Times one workload on one engine: best of `reps` timings of `ticks`
@@ -109,18 +99,15 @@ fn measure_ticks_ns(
     });
     let base_sim = match engine {
         Measured::Interpreter => None,
-        Measured::Compiled(tier, opt) => {
+        Measured::Compiled => {
             let mut prog = synergy::codegen::compile(&design).expect("lowers");
-            if matches!(opt, OptState::Optimized) {
-                let report =
-                    synergy::opt::optimize_with_passes(&mut prog, &synergy::opt::PASS_NAMES);
-                assert!(
-                    !report.any_reverted(),
-                    "optimizer pass reverted on {}",
-                    bench.name
-                );
-            }
-            Some(synergy::codegen::CompiledSim::with_tier(prog, tier).expect("translates"))
+            let report = synergy::opt::optimize_with_passes(&mut prog, &synergy::opt::PASS_NAMES);
+            assert!(
+                !report.any_reverted(),
+                "optimizer pass reverted on {}",
+                bench.name
+            );
+            Some(synergy::codegen::CompiledSim::new(prog).expect("translates"))
         }
     };
     (0..reps)
@@ -169,10 +156,8 @@ fn measure_opt_ratio(bench: &synergy::Benchmark, ticks: usize, reps: usize) -> f
         "optimizer pass reverted on {}",
         bench.name
     );
-    let o0 = synergy::codegen::CompiledSim::with_tier(prog, synergy::codegen::Tier::RegAlloc)
-        .expect("translates");
-    let o1 = synergy::codegen::CompiledSim::with_tier(oprog, synergy::codegen::Tier::RegAlloc)
-        .expect("translates");
+    let o0 = synergy::codegen::CompiledSim::new(prog).expect("translates");
+    let o1 = synergy::codegen::CompiledSim::new(oprog).expect("translates");
     let time_one = |base: &synergy::codegen::CompiledSim| {
         let mut env = synergy::interp::BufferEnv::new();
         if let Some(p) = &bench.input_path {
@@ -223,8 +208,6 @@ fn measure_telemetry_overhead(
             synergy::EnginePolicy::Compiled,
         )
         .expect("workload compiles");
-        rt.set_compiled_tier(synergy::CompiledTier::RegAlloc)
-            .expect("workload lowers to the regalloc tier");
         if let Some(path) = &bench.input_path {
             rt.add_file(
                 path.clone(),
@@ -293,40 +276,13 @@ pub fn run_checks(
         let bench = synergy::workloads::by_name(&workload)
             .unwrap_or_else(|| panic!("baseline names unknown workload '{}'", workload));
         let interp_ns = measure_ticks_ns(&bench, Measured::Interpreter, 200, 3);
-        let stack_ns = measure_ticks_ns(
-            &bench,
-            Measured::Compiled(synergy::codegen::Tier::Stack, OptState::O0),
-            2000,
-            4,
-        );
-        let regalloc_ns = measure_ticks_ns(
-            &bench,
-            Measured::Compiled(synergy::codegen::Tier::RegAlloc, OptState::O0),
-            4000,
-            4,
-        );
-        let opt_ns = measure_ticks_ns(
-            &bench,
-            Measured::Compiled(synergy::codegen::Tier::RegAlloc, OptState::Optimized),
-            4000,
-            4,
-        );
+        let opt_ns = measure_ticks_ns(&bench, Measured::Compiled, 4000, 4);
         // The headline speedup is the *default* compiled engine (optimized
         // regalloc tier) over the interpreter.
         checks.push(Check {
             name: format!("interp_vs_compiled/{}", workload),
             baseline,
             measured: interp_ns / opt_ns.max(1e-9) / handicap,
-            tolerance: TOLERANCE,
-        });
-        // The regalloc tier must also hold its ratio over the stack tier
-        // (PR 4's tentpole win; both at O0 so the ratio isolates the tier).
-        let baseline_tiers =
-            num_field(obj, "regalloc_over_stack").expect("baseline row has regalloc_over_stack");
-        checks.push(Check {
-            name: format!("compiled_vs_regalloc/{}", workload),
-            baseline: baseline_tiers,
-            measured: stack_ns / regalloc_ns.max(1e-9) / handicap,
             tolerance: TOLERANCE,
         });
         // The optimizer must never pessimize the regalloc tier (PR 8's

@@ -18,44 +18,37 @@
 //!   assignment, and the unsynthesizable system tasks) compile to bytecode
 //!   executed by the register-machine [`CompiledSim`].
 //!
-//! # Execution tiers
+//! # Execution
 //!
-//! The compiled engine itself is two-tiered:
+//! [`CompiledSim`] does not interpret the bytecode directly. It lowers it
+//! once more into register-allocated, width-specialized three-address code.
+//! A forward width inference proves which values fit 64 bits; those live
+//! untagged in flat `u64` arenas:
 //!
-//! * **Stack tier** ([`Tier::Stack`]) — a bytecode interpreter over an
-//!   operand stack of [`Val`]s. Covers the entire compiled envelope and is
-//!   the semantic bridge between the tree-walking interpreter and the
-//!   register tier.
-//! * **Regalloc tier** ([`Tier::RegAlloc`], the default) — the stack
-//!   bytecode lowered once more into register-allocated, width-specialized
-//!   three-address code. A forward width inference proves which values fit
-//!   64 bits; those live untagged in flat `u64` arenas:
+//! - scalar nets at most 64 bits wide live in one `Vec<u64>` (wider nets
+//!   keep a `Val` slot at the same index),
+//! - memories whose element width fits a word are flat `Vec<u64>`s,
+//! - expression temporaries are compacted by a linear-scan register
+//!   allocator onto a small shared `Vec<u64>` word arena plus a `Vec<Val>`
+//!   arena for wide/dynamic-width values.
 //!
-//!   - scalar nets at most 64 bits wide live in one `Vec<u64>` (wider nets
-//!     keep a `Val` slot at the same index),
-//!   - memories whose element width fits a word are flat `Vec<u64>`s,
-//!   - expression temporaries are compacted by a linear-scan register
-//!     allocator onto a small shared `Vec<u64>` word arena plus a
-//!     `Vec<Val>` arena for wide/dynamic-width values.
+//! Hot instruction pairs are fused at translation time (constant operands
+//! into immediate ALU ops, `PushNet;PushConst;BinOp;StoreNet` into two fused
+//! dispatches), and combinational re-evaluation drains a level-bucketed
+//! dirty worklist instead of scanning every node.
 //!
-//!   Hot instruction pairs are fused at translation time (constant operands
-//!   into immediate ALU ops, `PushNet;PushConst;BinOp;StoreNet` into two
-//!   fused dispatches), and combinational re-evaluation drains a
-//!   level-bucketed dirty worklist instead of scanning every node.
+//! **Wide values:** any value the width inference cannot pin to a fixed
+//! width of at most 64 bits (wider registers, ternary arms of different
+//! widths, dynamic slices/replication) runs through the exact [`Val`]
+//! routines ([`binary`], [`unary`], …) per op. Every lowered program
+//! translates; only malformed bytecode (operand-stack underflow, a
+//! stack-depth mismatch at a join) is rejected, by [`CompiledSim::new`]
+//! with [`synergy_vlog::VlogError::Unsupported`].
 //!
-//!   **Fallback rules:** any *value* the width inference cannot pin to a
-//!   fixed width of at most 64 bits (wider registers, ternary arms of
-//!   different widths, dynamic slices/replication) falls back to the exact
-//!   stack-tier `Val` routines per op; any *program* the translation cannot
-//!   handle at all falls back to the stack tier engine-wide, exactly like
-//!   the stack tier falls back to the interpreter. The
-//!   `SYNERGY_COMPILED_TIER=stack` environment variable forces the stack
-//!   tier (the escape hatch the runtime's `EnginePolicy` plumbing exposes).
-//!
-//! Both tiers reproduce the interpreter's scheduling semantics tick for
+//! The executor reproduces the interpreter's scheduling semantics tick for
 //! tick — same evaluate/update fixpoint, same edge detection, same
 //! [`synergy_interp::StateSnapshot`] format — so programs migrate losslessly
-//! between the interpreter, either compiled tier, and the hardware engine.
+//! between the interpreter, the compiled engine, and the hardware engine.
 //! Designs using constructs the lowering does not cover (multiply-driven
 //! nets, combinational system calls, …) return
 //! [`synergy_vlog::VlogError::Unsupported`]; the runtime's engine-selection
@@ -75,7 +68,7 @@
 //!        endmodule"#,
 //!     "Counter",
 //! )?;
-//! let mut sim = CompiledSim::new(compile(&design)?);
+//! let mut sim = CompiledSim::new(compile(&design)?)?;
 //! let mut env = BufferEnv::new();
 //! for _ in 0..5 {
 //!     sim.tick("clock", &mut env)?;
@@ -100,30 +93,6 @@ pub use ir::{
 
 use synergy_vlog::elaborate::ElabModule;
 use synergy_vlog::VlogResult;
-
-/// Which execution tier a [`CompiledSim`] runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Tier {
-    /// Bytecode interpretation over an operand stack of [`Val`]s.
-    Stack,
-    /// Register-allocated, width-specialized three-address code over flat
-    /// `u64` arenas (the default; falls back to [`Tier::Stack`] for
-    /// untranslatable programs).
-    #[default]
-    RegAlloc,
-}
-
-impl Tier {
-    /// The default tier, honouring the `SYNERGY_COMPILED_TIER` environment
-    /// escape hatch (`stack` forces the stack tier; anything else — or the
-    /// variable being unset — selects the regalloc tier).
-    pub fn from_env() -> Tier {
-        match std::env::var("SYNERGY_COMPILED_TIER") {
-            Ok(v) if v.eq_ignore_ascii_case("stack") => Tier::Stack,
-            _ => Tier::RegAlloc,
-        }
-    }
-}
 
 /// Lowers an elaborated design into the compiled netlist IR.
 ///
@@ -158,7 +127,7 @@ mod tests {
     ) {
         let design = synergy_vlog::compile(src, top).unwrap();
         let mut interp = Interpreter::new(design.clone());
-        let mut sim = CompiledSim::new(compile(&design).unwrap());
+        let mut sim = CompiledSim::new(compile(&design).unwrap()).unwrap();
         let mut ienv = BufferEnv::new();
         let mut cenv = BufferEnv::new();
         for (path, data) in files {
@@ -199,6 +168,26 @@ mod tests {
             300,
             &[],
         );
+    }
+
+    #[test]
+    fn malformed_bytecode_is_unsupported_not_a_panic() {
+        let mut prog = compile_src(
+            r#"module Counter(input wire clock, output wire [7:0] out);
+                   reg [7:0] count = 0;
+                   always @(posedge clock) count <= count + 1;
+                   assign out = count;
+               endmodule"#,
+            "Counter",
+        );
+        // A store with nothing on the operand stack.
+        prog.comb[0].code = vec![Op::StoreNet(0)];
+        match CompiledSim::new(prog) {
+            Err(VlogError::Unsupported(reason)) => {
+                assert!(reason.contains("operand stack underflow"), "{}", reason)
+            }
+            other => panic!("expected Unsupported, got {:?}", other),
+        }
     }
 
     #[test]
@@ -405,7 +394,7 @@ mod tests {
         for _ in 0..7 {
             interp.tick("clock", &mut env).unwrap();
         }
-        let mut sim = CompiledSim::new(compile(&design).unwrap());
+        let mut sim = CompiledSim::new(compile(&design).unwrap()).unwrap();
         sim.restore_state(&interp.save_state());
         assert_eq!(sim.get_bits("out").unwrap().to_u64(), 21);
         sim.tick("clock", &mut env).unwrap();
@@ -728,7 +717,7 @@ mod tests {
         )
         .unwrap();
         let mut interp = Interpreter::new(design.clone());
-        let mut sim = CompiledSim::new(compile(&design).unwrap());
+        let mut sim = CompiledSim::new(compile(&design).unwrap()).unwrap();
         let mut env = BufferEnv::new();
         let ierr = interp.tick("clock", &mut env).unwrap_err();
         let cerr = sim.tick("clock", &mut env).unwrap_err();
@@ -786,7 +775,7 @@ mod tests {
             "M",
         )
         .unwrap();
-        let mut sim = CompiledSim::new(compile(&design).unwrap());
+        let mut sim = CompiledSim::new(compile(&design).unwrap()).unwrap();
         let mut env = BufferEnv::new();
         sim.settle(&mut env).unwrap();
         sim.set("a", Bits::from_u64(8, 5)).unwrap();
@@ -805,7 +794,7 @@ mod tests {
                      endmodule"#;
         let design = synergy_vlog::compile(src, "M").unwrap();
         let mut interp = Interpreter::new(design.clone());
-        let mut sim = CompiledSim::new(compile(&design).unwrap());
+        let mut sim = CompiledSim::new(compile(&design).unwrap()).unwrap();
         let mut env = BufferEnv::new();
         for eng in [true, false] {
             if eng {
@@ -836,7 +825,7 @@ mod tests {
             "M",
         )
         .unwrap();
-        let mut sim = CompiledSim::new(compile(&design).unwrap());
+        let mut sim = CompiledSim::new(compile(&design).unwrap()).unwrap();
         let mut env = BufferEnv::new();
         for _ in 0..10 {
             sim.tick("clock", &mut env).unwrap();

@@ -1,5 +1,5 @@
 //! The word-level executor for register-allocated programs: the runtime of
-//! the compiled engine's *regalloc tier*.
+//! the compiled engine.
 //!
 //! State layout (see also the crate docs):
 //!
@@ -21,17 +21,44 @@
 //! array.
 //!
 //! Scheduling semantics (evaluate/update fixpoint, edge detection, settle
-//! caps, error strings) mirror the stack tier — and therefore the reference
-//! interpreter — exactly; the differential and fuzz suites hold all three
-//! to bit-identical snapshots.
+//! caps, error strings) mirror the reference interpreter exactly; the
+//! differential and fuzz suites hold the two to bit-identical snapshots.
 
-use crate::exec::{NoopEnv, MAX_PROPAGATION_ITERS, MAX_SETTLE_ITERS};
 use crate::ir::{mask, CompiledProgram, Op, SlotRef, Val, MAX_LOOP_ITERS};
 use crate::regalloc::{translate_body, translate_expr, translate_stmt, Class, WOp, WordProg};
 use std::collections::BTreeMap;
 use synergy_interp::{StateSnapshot, SystemEnv, Value};
 use synergy_vlog::ast::Edge;
 use synergy_vlog::{Bits, VlogError, VlogResult};
+
+/// Upper bound on evaluate-loop iterations, mirroring the interpreter.
+const MAX_PROPAGATION_ITERS: usize = 10_000;
+
+/// Upper bound on evaluate/update rounds per settle, mirroring the
+/// interpreter's cap (same limit, same error text) so self-triggering
+/// designs fail identically on both engines.
+const MAX_SETTLE_ITERS: usize = 1_000;
+
+/// A no-op environment for guard evaluation and post-restore propagation,
+/// mirroring the interpreter's `NullEnv`.
+struct NoopEnv;
+
+impl SystemEnv for NoopEnv {
+    fn print(&mut self, _text: &str) {}
+    fn fopen(&mut self, _path: &str) -> u32 {
+        0
+    }
+    fn fread(&mut self, _fd: u32, _width: usize) -> Option<Bits> {
+        None
+    }
+    fn feof(&mut self, _fd: u32) -> bool {
+        true
+    }
+    fn fclose(&mut self, _fd: u32) {}
+    fn random(&mut self) -> u32 {
+        0
+    }
+}
 
 /// An edge guard: the common whole-net case reads one word directly; the
 /// general case runs a translated expression program.
@@ -629,7 +656,7 @@ impl WordMachine {
     }
 
     /// Writes a scalar net by id and re-wakes its readers (the clock-toggle
-    /// fast path; mirrors the stack tier's unconditional mark).
+    /// fast path; mirrors the interpreter's unconditional re-evaluation).
     pub(crate) fn set_net(&mut self, prog: &CompiledProgram, id: u32, value: &Bits) {
         let width = prog.nets[id as usize].width;
         if width <= 64 {
@@ -777,7 +804,7 @@ impl WordMachine {
     }
 
     /// Determines which always blocks fire, updating stored guard values —
-    /// the same edge-detection algorithm as the stack tier and interpreter.
+    /// the same edge-detection algorithm as the interpreter.
     fn collect_triggered(
         &mut self,
         prog: &CompiledProgram,
@@ -942,7 +969,7 @@ impl WordMachine {
             }
         }
         // Hand the drained buffer's capacity back so steady-state ticks stay
-        // allocation-free (the stack tier reallocates here every tick).
+        // allocation-free.
         if self.st.nb.is_empty() {
             std::mem::swap(&mut pending, &mut self.st.nb);
         }
@@ -1053,7 +1080,7 @@ impl WordMachine {
 
     /// Re-seeds edge detection from the current (just-restored) values so the
     /// next evaluate sees no edges — the same restore semantics as the
-    /// interpreter's and the stack tier's `prime_guards`.
+    /// interpreter's `prime_guards`.
     fn prime_guards(&mut self, prog: &CompiledProgram) {
         for idx in 0..self.wp.always.len() {
             let ap = &self.wp.always[idx];
@@ -1914,7 +1941,7 @@ fn wexec(
 }
 
 // Owned dense state only — the machine crosses worker threads inside its
-// `Runtime`, like the stack tier.
+// `Runtime`.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<WordMachine>();

@@ -258,8 +258,8 @@ fn run_lockstep(entry: &(&str, &str, &str, usize), passes: &[&str]) -> OptReport
     let report = optimize_with_passes(&mut opt_prog, passes);
 
     let mut interp = Interpreter::new(design);
-    let mut o0 = CompiledSim::new(base);
-    let mut opt = CompiledSim::new(opt_prog);
+    let mut o0 = CompiledSim::new(base).unwrap();
+    let mut opt = CompiledSim::new(opt_prog).unwrap();
     let mut ienv = BufferEnv::new();
     let mut zenv = BufferEnv::new();
     let mut oenv = BufferEnv::new();

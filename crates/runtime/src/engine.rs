@@ -9,7 +9,7 @@
 //! forth mid-execution.
 
 use serde::{Deserialize, Serialize};
-use synergy_codegen::{CompiledSim, Tier};
+use synergy_codegen::CompiledSim;
 use synergy_interp::{Interpreter, StateSnapshot, SystemEnv, TaskEffect, Value};
 use synergy_transform::{Transformed, TASK_NONE};
 use synergy_vlog::ast::{Expr, LValue, SystemTask, TaskKind};
@@ -109,12 +109,6 @@ pub trait Engine: Send {
     /// such as `$fopen` — so replaying them would re-open streams and
     /// corrupt the resumed run.
     fn mark_initials_run(&mut self);
-
-    /// The compiled-engine execution tier, if this engine is the compiled
-    /// engine.
-    fn compiled_tier(&self) -> Option<Tier> {
-        None
-    }
 
     /// Cumulative executor-internal telemetry counters. The runtime diffs
     /// these around each `run_ticks` call; engines that track nothing report
@@ -273,35 +267,16 @@ impl CompiledEngine {
     ///
     /// # Errors
     ///
-    /// Returns an error if the clock input does not exist.
+    /// Returns [`VlogError::Unsupported`] if the program does not translate
+    /// (see [`CompiledSim::new`]), or an error if the clock input does not
+    /// exist.
     pub fn from_program(
         program: synergy_codegen::CompiledProgram,
         clock: &str,
     ) -> VlogResult<Self> {
-        Self::from_program_with_tier(program, clock, Tier::from_env())
-    }
-
-    /// Creates an engine from an already-lowered program on the requested
-    /// execution tier ([`Tier::RegAlloc`] falls back to [`Tier::Stack`] for
-    /// programs its translation cannot handle, exactly like the stack tier
-    /// falls back to the interpreter).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the clock input does not exist.
-    pub fn from_program_with_tier(
-        program: synergy_codegen::CompiledProgram,
-        clock: &str,
-        tier: Tier,
-    ) -> VlogResult<Self> {
-        let sim = CompiledSim::with_tier_lenient(program, tier);
+        let sim = CompiledSim::new(program)?;
         let clock = sim.net_id(clock)?;
         Ok(CompiledEngine { sim, clock })
-    }
-
-    /// The execution tier the simulator actually runs on.
-    pub fn tier(&self) -> Tier {
-        self.sim.tier()
     }
 
     /// The underlying compiled simulator.
@@ -313,10 +288,6 @@ impl CompiledEngine {
 impl Engine for CompiledEngine {
     fn kind(&self) -> EngineKind {
         EngineKind::Compiled
-    }
-
-    fn compiled_tier(&self) -> Option<Tier> {
-        Some(self.sim.tier())
     }
 
     fn exec_counters(&self) -> EngineCounters {

@@ -13,7 +13,6 @@ use crate::engine::{
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
-pub use synergy_codegen::Tier as CompiledTier;
 use synergy_fpga::{BitstreamCache, Device, SimClock, SynthOptions};
 use synergy_interp::{BufferEnv, StateSnapshot, TaskEffect, Value};
 pub use synergy_opt::OptLevel;
@@ -122,12 +121,6 @@ pub enum ExecMode {
 
 /// How the runtime chooses among its software-side engines (§2.1's ladder of
 /// progressively faster engines: interpret → compiled → hardware).
-///
-/// The compiled engine is itself two-tiered; the policy's companion knob
-/// [`CompiledTier`] (see [`Runtime::set_compiled_tier`]) selects between the
-/// stack-bytecode tier and the default register-allocated tier, with the
-/// `SYNERGY_COMPILED_TIER=stack` environment variable as a global escape
-/// hatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum EnginePolicy {
     /// Always interpret (the Cascade baseline and the semantic reference).
@@ -166,9 +159,6 @@ pub struct Runtime {
     /// hardware path), so repeated engine migrations don't re-lower.
     pub(crate) compiled: Option<synergy_codegen::CompiledProgram>,
     pub(crate) policy: EnginePolicy,
-    /// Which compiled-engine tier to instantiate (default from the
-    /// environment; see [`CompiledTier::from_env`]).
-    pub(crate) tier: CompiledTier,
     /// Whether the netlist optimization pipeline runs when a compiled
     /// engine is constructed (default from the environment; see
     /// [`OptLevel::from_env`]). The cached lowering in `compiled` always
@@ -236,6 +226,18 @@ fn optimize_for_engine(
     prog
 }
 
+/// Records a fallback off the compiled engine: a design the lowering or the
+/// translation rejects as outside the compilable envelope.
+fn record_fallback(telem: &mut Telemetry, ticks: u64, reason: String) {
+    telem.registry.counter_add(
+        Namespace::Det,
+        "runtime_engine_fallbacks_total",
+        &[("reason", reason.as_str())],
+        1,
+    );
+    telem.recorder.record(ticks, "engine_fallback", reason);
+}
+
 impl Runtime {
     /// Creates a runtime for the given program, starting in software execution.
     ///
@@ -262,7 +264,7 @@ impl Runtime {
     /// # Errors
     ///
     /// Returns an error if the source fails to parse or elaborate, or if the
-    /// policy requires the compiled engine and lowering fails.
+    /// policy requires the compiled engine and lowering or translation fails.
     pub fn with_policy(
         name: impl Into<String>,
         source: &str,
@@ -270,40 +272,44 @@ impl Runtime {
         clock: &str,
         policy: EnginePolicy,
     ) -> VlogResult<Runtime> {
+        Self::with_lowering(name, source, top, clock, policy, synergy_codegen::compile)
+    }
+
+    /// [`Runtime::with_policy`] over an explicit lowering step, so tests can
+    /// seat programs the real lowering never emits.
+    fn with_lowering(
+        name: impl Into<String>,
+        source: &str,
+        top: &str,
+        clock: &str,
+        policy: EnginePolicy,
+        lower: impl FnOnce(&ElabModule) -> VlogResult<synergy_codegen::CompiledProgram>,
+    ) -> VlogResult<Runtime> {
         let design = synergy_vlog::compile(source, top)?;
         let software = Device::software();
-        let tier = CompiledTier::from_env();
         let opt_level = OptLevel::from_env();
         let mut telem = Mutex::new(Telemetry::default());
         let mut compiled = None;
-        let mut fallback: Option<String> = None;
         let (engine, device): (Box<dyn Engine>, Device) = match policy {
             EnginePolicy::Interpreter => (
                 Box::new(SoftwareEngine::new(design.clone(), clock)),
                 software,
             ),
             EnginePolicy::Compiled | EnginePolicy::Auto => {
-                match synergy_codegen::compile(&design) {
-                    Ok(prog) => {
-                        compiled = Some(prog.clone());
-                        let prog = optimize_for_engine(
-                            prog,
-                            opt_level,
-                            telem.get_mut().unwrap_or_else(|e| e.into_inner()),
-                            0,
-                        );
-                        (
-                            Box::new(CompiledEngine::from_program_with_tier(prog, clock, tier)?)
-                                as Box<dyn Engine>,
-                            Device::compiled(),
-                        )
-                    }
+                let built = lower(&design).and_then(|prog| {
+                    compiled = Some(prog.clone());
+                    let t = telem.get_mut().unwrap_or_else(|e| e.into_inner());
+                    CompiledEngine::from_program(optimize_for_engine(prog, opt_level, t, 0), clock)
+                });
+                match built {
+                    Ok(engine) => (Box::new(engine) as Box<dyn Engine>, Device::compiled()),
                     // Auto falls back to the interpreter only for designs
-                    // outside the compilable envelope; internal lowering
-                    // failures (and any failure under the strict policy)
-                    // surface to the caller.
+                    // outside the compilable envelope (lowering or
+                    // translation rejects them); internal failures (and any
+                    // failure under the strict policy) surface to the caller.
                     Err(VlogError::Unsupported(reason)) if policy == EnginePolicy::Auto => {
-                        fallback = Some(reason);
+                        let t = telem.get_mut().unwrap_or_else(|e| e.into_inner());
+                        record_fallback(t, 0, reason);
                         (
                             Box::new(SoftwareEngine::new(design.clone(), clock)),
                             software,
@@ -313,16 +319,6 @@ impl Runtime {
                 }
             }
         };
-        if let Some(reason) = fallback {
-            let t = telem.get_mut().unwrap_or_else(|e| e.into_inner());
-            t.registry.counter_add(
-                Namespace::Det,
-                "runtime_engine_fallbacks_total",
-                &[("reason", reason.as_str())],
-                1,
-            );
-            t.recorder.record(0, "engine_fallback", reason);
-        }
         Ok(Runtime {
             name: name.into(),
             source: source.to_string(),
@@ -341,7 +337,6 @@ impl Runtime {
             transform_options: TransformOptions::default(),
             compiled,
             policy,
-            tier,
             opt_level,
             finished: None,
             telem,
@@ -382,43 +377,6 @@ impl Runtime {
         self.policy
     }
 
-    /// The compiled-engine tier new compiled engines will use.
-    pub fn compiled_tier_policy(&self) -> CompiledTier {
-        self.tier
-    }
-
-    /// The tier the *currently running* compiled engine executes on
-    /// (`None` when not on the compiled engine).
-    pub fn compiled_tier(&self) -> Option<CompiledTier> {
-        match self.mode() {
-            ExecMode::Compiled => Some(self.engine_tier()),
-            _ => None,
-        }
-    }
-
-    fn engine_tier(&self) -> CompiledTier {
-        self.engine
-            .compiled_tier()
-            .unwrap_or(CompiledTier::RegAlloc)
-    }
-
-    /// Selects the compiled-engine tier. Takes effect immediately when the
-    /// program is running on the compiled engine (state migrates across via
-    /// a snapshot, like any engine hop) and applies to future migrations
-    /// otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine-construction errors from the re-migration; the
-    /// current engine is left untouched on failure.
-    pub fn set_compiled_tier(&mut self, tier: CompiledTier) -> VlogResult<()> {
-        self.tier = tier;
-        if self.mode() == ExecMode::Compiled && self.engine_tier() != tier {
-            self.migrate_to_compiled()?;
-        }
-        Ok(())
-    }
-
     /// The optimization level future compiled engines are built at.
     pub fn opt_level(&self) -> OptLevel {
         self.opt_level
@@ -426,7 +384,7 @@ impl Runtime {
 
     /// Selects the netlist optimization level. Takes effect immediately when
     /// the program is running on the compiled engine (state migrates across
-    /// via a snapshot, exactly like a tier change) and applies to future
+    /// via a snapshot, like any engine hop) and applies to future
     /// migrations otherwise. `O0` is the escape hatch that runs the program
     /// exactly as lowered.
     ///
@@ -720,15 +678,11 @@ impl Runtime {
         }
     }
 
-    /// The label value describing where the program currently executes, at
-    /// compiled-tier granularity.
+    /// The label value describing where the program currently executes.
     fn engine_label(&self) -> &'static str {
         match self.engine.kind() {
             EngineKind::Software => "software",
-            EngineKind::Compiled => match self.engine_tier() {
-                CompiledTier::Stack => "compiled_stack",
-                CompiledTier::RegAlloc => "compiled_regalloc",
-            },
+            EngineKind::Compiled => "compiled_regalloc",
             EngineKind::Hardware { .. } => "hardware",
         }
     }
@@ -878,36 +832,27 @@ impl Runtime {
     /// outside the compilable envelope; the current engine is left untouched,
     /// so callers can simply keep interpreting.
     pub fn migrate_to_compiled(&mut self) -> VlogResult<u64> {
-        let program = match &self.compiled {
-            Some(p) => p.clone(),
-            None => match synergy_codegen::compile(&self.design) {
-                Ok(p) => {
-                    self.compiled = Some(p.clone());
-                    p
-                }
-                Err(e) => {
-                    if let VlogError::Unsupported(reason) = &e {
-                        let ticks = self.ticks;
-                        let t = self.telem.get_mut().unwrap_or_else(|p| p.into_inner());
-                        t.registry.counter_add(
-                            Namespace::Det,
-                            "runtime_engine_fallbacks_total",
-                            &[("reason", reason.as_str())],
-                            1,
-                        );
-                        t.recorder.record(ticks, "engine_fallback", reason.clone());
-                    }
-                    return Err(e);
-                }
-            },
+        let lowered = match &self.compiled {
+            Some(p) => Ok(p.clone()),
+            None => {
+                synergy_codegen::compile(&self.design).inspect(|p| self.compiled = Some(p.clone()))
+            }
         };
-        let program = {
-            let ticks = self.ticks;
-            let level = self.opt_level;
-            let telem = self.telem.get_mut().unwrap_or_else(|p| p.into_inner());
-            optimize_for_engine(program, level, telem, ticks)
+        let ticks = self.ticks;
+        let telem = self.telem.get_mut().unwrap_or_else(|p| p.into_inner());
+        let built = lowered.and_then(|program| {
+            let program = optimize_for_engine(program, self.opt_level, telem, ticks);
+            CompiledEngine::from_program(program, &self.clock)
+        });
+        let mut compiled = match built {
+            Ok(engine) => engine,
+            Err(e) => {
+                if let VlogError::Unsupported(reason) = &e {
+                    record_fallback(telem, ticks, reason.clone());
+                }
+                return Err(e);
+            }
         };
-        let mut compiled = CompiledEngine::from_program_with_tier(program, &self.clock, self.tier)?;
         let initials_run = self.engine.initials_run();
         let snapshot = self.engine.save_state();
         let latency = self.state_transfer_ns(&snapshot);
@@ -1039,36 +984,97 @@ mod tests {
         assert!(rt.clock_hz() > Device::software().max_clock_hz);
     }
 
+    /// The counter's lowering with its comb node replaced by a store from an
+    /// empty operand stack: bytecode the lowering never emits and the
+    /// translation rejects.
+    fn underflowing(design: &ElabModule) -> VlogResult<synergy_codegen::CompiledProgram> {
+        let mut prog = synergy_codegen::compile(design)?;
+        prog.comb[0].code = vec![synergy_codegen::Op::StoreNet(0)];
+        Ok(prog)
+    }
+
     #[test]
-    fn compiled_tier_knob_switches_tiers_with_state_intact() {
-        let mut rt =
-            Runtime::with_policy("counter", COUNTER, "Counter", "clock", EnginePolicy::Auto)
-                .unwrap();
-        // The regalloc tier is the default for the compiled engine.
-        assert_eq!(rt.compiled_tier(), Some(CompiledTier::RegAlloc));
-        rt.run_ticks(9).unwrap();
+    fn untranslatable_programs_fall_back_like_unlowerable_ones() {
+        let design = synergy_vlog::compile(COUNTER, "Counter").unwrap();
+        let reason = match synergy_codegen::CompiledSim::new(underflowing(&design).unwrap()) {
+            Err(VlogError::Unsupported(reason)) => reason,
+            other => panic!("expected Unsupported, got {:?}", other),
+        };
+        let fallbacks = |rt: &Runtime| {
+            rt.metrics().counter_value(
+                Namespace::Det,
+                "runtime_engine_fallbacks_total",
+                &[("reason", reason.as_str())],
+            )
+        };
 
-        // Dropping to the stack tier migrates state across, like any other
-        // engine hop, and execution continues bit-identically.
-        rt.set_compiled_tier(CompiledTier::Stack).unwrap();
-        assert_eq!(rt.mode(), ExecMode::Compiled);
-        assert_eq!(rt.compiled_tier(), Some(CompiledTier::Stack));
-        rt.run_ticks(4).unwrap();
-        assert_eq!(rt.get_bits("count").unwrap().to_u64(), 13);
+        // Auto lands on the interpreter and counts the fallback...
+        let mut rt = Runtime::with_lowering(
+            "m",
+            COUNTER,
+            "Counter",
+            "clock",
+            EnginePolicy::Auto,
+            underflowing,
+        )
+        .unwrap();
+        assert_eq!(rt.mode(), ExecMode::Software);
+        assert_eq!(fallbacks(&rt), 1);
+        rt.run_ticks(3).unwrap();
+        assert_eq!(rt.get_bits("count").unwrap().to_u64(), 3);
+        // ...and a later hop onto the compiled engine fails the same way,
+        // leaving the interpreter running.
+        assert_eq!(
+            rt.migrate_to_compiled(),
+            Err(VlogError::Unsupported(reason.clone()))
+        );
+        assert_eq!(rt.mode(), ExecMode::Software);
+        assert_eq!(fallbacks(&rt), 2);
 
-        // And back up.
-        rt.set_compiled_tier(CompiledTier::RegAlloc).unwrap();
-        assert_eq!(rt.compiled_tier(), Some(CompiledTier::RegAlloc));
-        rt.run_ticks(4).unwrap();
-        assert_eq!(rt.get_bits("count").unwrap().to_u64(), 17);
+        // The strict policy surfaces the error.
+        assert_eq!(
+            Runtime::with_lowering(
+                "m",
+                COUNTER,
+                "Counter",
+                "clock",
+                EnginePolicy::Compiled,
+                underflowing,
+            )
+            .err(),
+            Some(VlogError::Unsupported(reason.clone()))
+        );
+    }
 
-        // On a non-compiled engine the knob only applies to future hops.
-        let mut sw = Runtime::new("sw", COUNTER, "Counter", "clock").unwrap();
-        sw.set_compiled_tier(CompiledTier::Stack).unwrap();
-        assert_eq!(sw.compiled_tier(), None);
-        assert_eq!(sw.compiled_tier_policy(), CompiledTier::Stack);
-        sw.migrate_to_compiled().unwrap();
-        assert_eq!(sw.compiled_tier(), Some(CompiledTier::Stack));
+    #[test]
+    fn hostile_ranges_fail_typed_and_promptly() {
+        // Negative bounds once wrapped to ~4 G bits or elements (and hung
+        // `transform`); they now sign-extend to small legal ranges...
+        let cache = BitstreamCache::new();
+        for src in [
+            "module M(input wire clock); reg [-3:0] x = 0;
+                 always @(posedge clock) x <= x + 1; endmodule",
+            "module M(input wire clock); reg [7:0] m [0:-1];
+                 always @(posedge clock) m[1] <= m[1] + 1; endmodule",
+        ] {
+            let mut rt = Runtime::with_policy("m", src, "M", "clock", EnginePolicy::Auto).unwrap();
+            assert_eq!(rt.mode(), ExecMode::Compiled);
+            rt.run_ticks(3).unwrap();
+            rt.migrate_to_hardware(&Device::f1(), &cache).unwrap();
+            rt.run_ticks(3).unwrap();
+        }
+        // ...and extents beyond the elaboration limit fail typed, at once.
+        for src in [
+            "module M(input wire clock); reg [70000:0] x; endmodule",
+            "module M(input wire clock); reg [7:0] m [0:4000000000]; endmodule",
+        ] {
+            let start = std::time::Instant::now();
+            assert!(matches!(
+                Runtime::with_policy("m", src, "M", "clock", EnginePolicy::Auto),
+                Err(VlogError::Elaborate(_))
+            ));
+            assert!(start.elapsed() < std::time::Duration::from_secs(5));
+        }
     }
 
     #[test]

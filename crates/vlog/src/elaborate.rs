@@ -197,6 +197,47 @@ struct Ctx<'a> {
 
 const MAX_INSTANCE_DEPTH: usize = 32;
 
+/// Largest variable width (bits) or memory depth (elements) elaboration
+/// accepts: three orders of magnitude above every Table-1 and generated
+/// design, and small enough that no hostile range makes a later stage
+/// allocate or walk billions of bits.
+pub const MAX_EXTENT: usize = 1 << 16;
+
+/// The number of positions a constant `[msb:lsb]` range spans, either
+/// direction, rejecting extents above [`MAX_EXTENT`].
+fn range_extent(range: &Range, params: &BTreeMap<String, Bits>, what: &str) -> VlogResult<usize> {
+    let bound = |e: &Expr| {
+        const_eval(e, &|n| params.get(n).cloned())
+            .ok_or_else(|| VlogError::Elaborate(format!("{} bound is not constant", what)))
+            .and_then(|b| signed_bound(&b))
+    };
+    let span = (i128::from(bound(&range.msb)?) - i128::from(bound(&range.lsb)?)).unsigned_abs() + 1;
+    if span > MAX_EXTENT as u128 {
+        return Err(VlogError::Elaborate(format!(
+            "{} of {} exceeds the limit of {}",
+            what, span, MAX_EXTENT
+        )));
+    }
+    Ok(span as usize)
+}
+
+/// A constant range bound as a signed integer. Unsized constants and
+/// parameters are 32-bit signed integers, so values at least 32 bits wide
+/// sign-extend from their top bit (a 32-bit `-3` is -3, not 4294967293);
+/// narrower sized constants are unsigned.
+fn signed_bound(b: &Bits) -> VlogResult<i64> {
+    if b.width() < 32 {
+        return Ok(b.to_u64() as i64);
+    }
+    let v = b.sign_extend(64).to_u64() as i64;
+    if b.width() > 64 && Bits::from_u64(64, v as u64).sign_extend(b.width()) != *b {
+        return Err(VlogError::Elaborate(
+            "range bound does not fit 64 bits".into(),
+        ));
+    }
+    Ok(v)
+}
+
 impl<'a> Ctx<'a> {
     /// Inlines `module` into `elab`, prefixing all local names with `prefix`.
     /// `port_map` maps the module's port names to already-declared parent names.
@@ -459,26 +500,12 @@ impl<'a> Ctx<'a> {
     ) -> VlogResult<usize> {
         match range {
             None => Ok(1),
-            Some(r) => {
-                let msb = const_eval(&r.msb, &|n| params.get(n).cloned())
-                    .ok_or_else(|| VlogError::Elaborate("range msb is not constant".into()))?
-                    .to_u64() as i64;
-                let lsb = const_eval(&r.lsb, &|n| params.get(n).cloned())
-                    .ok_or_else(|| VlogError::Elaborate("range lsb is not constant".into()))?
-                    .to_u64() as i64;
-                Ok(((msb - lsb).unsigned_abs() as usize) + 1)
-            }
+            Some(r) => range_extent(r, params, "width"),
         }
     }
 
     fn mem_depth(&self, range: &Range, params: &BTreeMap<String, Bits>) -> VlogResult<usize> {
-        let a = const_eval(&range.msb, &|n| params.get(n).cloned())
-            .ok_or_else(|| VlogError::Elaborate("memory bound is not constant".into()))?
-            .to_u64() as i64;
-        let b = const_eval(&range.lsb, &|n| params.get(n).cloned())
-            .ok_or_else(|| VlogError::Elaborate("memory bound is not constant".into()))?
-            .to_u64() as i64;
-        Ok(((a - b).unsigned_abs() as usize) + 1)
+        range_extent(range, params, "memory depth")
     }
 
     fn rewrite_expr(
@@ -785,6 +812,41 @@ mod tests {
         assert_eq!(m.always.len(), 1);
         assert_eq!(m.assigns.len(), 1);
         assert_eq!(m.total_state_bits(), 8);
+    }
+
+    #[test]
+    fn negative_range_bounds_sign_extend() {
+        let src = "module M(input wire clock); reg [-3:0] x; reg [7:0] m [0:-1]; endmodule";
+        let m = compile(src, "M").unwrap();
+        assert_eq!(m.vars["x"].width, 4);
+        assert_eq!(m.vars["m"].depth, Some(2));
+        // Sized constants narrower than 32 bits stay unsigned.
+        let m = compile(
+            "module M(input wire clock); reg [4'd13:0] x; endmodule",
+            "M",
+        )
+        .unwrap();
+        assert_eq!(m.vars["x"].width, 14);
+    }
+
+    #[test]
+    fn oversized_widths_and_depths_are_rejected() {
+        for src in [
+            "module M(input wire clock); reg [65536:0] x; endmodule",
+            "module M(input wire clock); reg [7:0] m [0:65536]; endmodule",
+            "module M(input wire clock); reg [7:0] m [0:65'h1_0000_0000_0000_0000]; endmodule",
+        ] {
+            assert!(
+                matches!(compile(src, "M"), Err(VlogError::Elaborate(_))),
+                "{}",
+                src
+            );
+        }
+        let at_limit = format!(
+            "module M(input wire clock); reg [{}:0] x; endmodule",
+            MAX_EXTENT - 1
+        );
+        assert_eq!(compile(&at_limit, "M").unwrap().vars["x"].width, MAX_EXTENT);
     }
 
     #[test]

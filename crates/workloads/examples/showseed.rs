@@ -1,5 +1,5 @@
-//! Developer utility: sweep fuzz seeds differentially (interpreter vs both
-//! compiled-engine tiers vs the optimized regalloc tier, four-way), print
+//! Developer utility: sweep fuzz seeds differentially (interpreter vs the
+//! compiled engine vs the optimized compiled engine, three-way), print
 //! one seed's generated source, regenerate the
 //! committed golden checkpoints, or sweep seeds through a checkpoint
 //! round-trip (checkpoint mid-run, restore, lockstep-compare against the
@@ -32,21 +32,16 @@ fn run_seed(seed: u64, ticks: usize) -> Result<(), String> {
         ));
     }
     let mut interp = Interpreter::new(design);
-    let mut sim =
-        synergy_codegen::CompiledSim::with_tier(prog.clone(), synergy_codegen::Tier::RegAlloc)
-            .map_err(|e| format!("regalloc translation: {}", e))?;
-    let mut stack =
-        synergy_codegen::CompiledSim::with_tier(prog, synergy_codegen::Tier::Stack).unwrap();
-    let mut osim = synergy_codegen::CompiledSim::with_tier(oprog, synergy_codegen::Tier::RegAlloc)
+    let mut sim = synergy_codegen::CompiledSim::new(prog)
+        .map_err(|e| format!("regalloc translation: {}", e))?;
+    let mut osim = synergy_codegen::CompiledSim::new(oprog)
         .map_err(|e| format!("optimized regalloc translation: {}", e))?;
     let mut ienv = BufferEnv::new();
     let mut cenv = BufferEnv::new();
-    let mut senv = BufferEnv::new();
     let mut oenv = BufferEnv::new();
     if let Some(path) = &d.input_path {
         let data = fuzz_input_data(seed, ticks / 2);
         ienv.add_file(path.clone(), data.clone());
-        senv.add_file(path.clone(), data.clone());
         oenv.add_file(path.clone(), data.clone());
         cenv.add_file(path.clone(), data);
     }
@@ -55,21 +50,18 @@ fn run_seed(seed: u64, ticks: usize) -> Result<(), String> {
         // engines reject with the same message is agreement, not a failure.
         let ir = interp.tick(&d.clock, &mut ienv);
         let cr = sim.tick(&d.clock, &mut cenv);
-        let sr = stack.tick(&d.clock, &mut senv);
         let or = osim.tick(&d.clock, &mut oenv);
-        match (&ir, &cr, &sr, &or) {
-            (Ok(()), Ok(()), Ok(()), Ok(())) => {}
-            (Err(a), Err(b), Err(c), Err(d))
-                if a.to_string() == b.to_string()
-                    && a.to_string() == c.to_string()
-                    && a.to_string() == d.to_string() =>
+        match (&ir, &cr, &or) {
+            (Ok(()), Ok(()), Ok(())) => {}
+            (Err(a), Err(b), Err(c))
+                if a.to_string() == b.to_string() && a.to_string() == c.to_string() =>
             {
                 break
             }
             _ => {
                 return Err(format!(
-                    "engines disagree at tick {} (interp: {:?}, regalloc: {:?}, stack: {:?}, optimized: {:?})",
-                    t, ir, cr, sr, or
+                    "engines disagree at tick {} (interp: {:?}, regalloc: {:?}, optimized: {:?})",
+                    t, ir, cr, or
                 ))
             }
         }
@@ -77,26 +69,17 @@ fn run_seed(seed: u64, ticks: usize) -> Result<(), String> {
         if isnap != sim.save_state() {
             return Err(format!("regalloc snapshots diverge at tick {}", t));
         }
-        if isnap != stack.save_state() {
-            return Err(format!("stack snapshots diverge at tick {}", t));
-        }
         if isnap != osim.save_state() {
             return Err(format!("optimized snapshots diverge at tick {}", t));
         }
-        if interp.finished() != sim.finished()
-            || interp.finished() != stack.finished()
-            || interp.finished() != osim.finished()
-        {
+        if interp.finished() != sim.finished() || interp.finished() != osim.finished() {
             return Err(format!("finish diverges at tick {}", t));
         }
         if interp.finished().is_some() {
             break;
         }
     }
-    if ienv.output_text() != cenv.output_text()
-        || ienv.output_text() != senv.output_text()
-        || ienv.output_text() != oenv.output_text()
-    {
+    if ienv.output_text() != cenv.output_text() || ienv.output_text() != oenv.output_text() {
         return Err("output diverges".into());
     }
     Ok(())
@@ -127,18 +110,17 @@ fn dump_corpus(dir: &str) {
 }
 
 /// Regenerates the committed golden checkpoints: one durable checkpoint per
-/// Table-1 workload per compiled-engine tier, captured by the shared
+/// Table-1 workload on the compiled engine, captured by the shared
 /// `synergy_workloads::golden` recipe (the same construction the CI
 /// `snapshot-compat` gate replays as its fresh reference). Run this — and
 /// commit the result — whenever the wire format version is deliberately
 /// bumped.
 fn write_goldens(dir: &str) {
     std::fs::create_dir_all(dir).expect("create golden dir");
-    for (bench, tier) in golden_matrix() {
-        let rt = golden_runtime(&bench, tier).unwrap_or_else(|e| {
-            panic!("golden {} ({:?}) failed to build: {}", bench.name, tier, e)
-        });
-        let file = golden_file_name(&bench, tier);
+    for bench in golden_matrix() {
+        let rt = golden_runtime(&bench)
+            .unwrap_or_else(|e| panic!("golden {} failed to build: {}", bench.name, e));
+        let file = golden_file_name(&bench);
         let bytes = rt.save_checkpoint();
         std::fs::write(format!("{}/{}", dir, file), &bytes).expect("write golden");
         println!("wrote {}/{} ({} bytes)", dir, file, bytes.len());

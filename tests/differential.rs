@@ -5,9 +5,9 @@
 //! the guarantee that lets the runtime's engine-selection policy move
 //! programs freely along the interpret → compiled → hardware ladder.
 
-use synergy::codegen::{compile, CompiledSim, Tier};
+use synergy::codegen::{compile, CompiledSim};
 use synergy::interp::{BufferEnv, Interpreter};
-use synergy::runtime::{CompiledTier, EnginePolicy, ExecMode, Runtime};
+use synergy::runtime::{EnginePolicy, ExecMode, Runtime};
 use synergy::workloads;
 
 fn ticks_for(name: &str) -> usize {
@@ -32,15 +32,9 @@ fn run_differential(quiescent: bool) {
                 bench.name, e
             )
         });
-        let mut sim = CompiledSim::new(prog.clone());
-        assert_eq!(
-            sim.tier(),
-            Tier::RegAlloc,
-            "{}: default compiled engine must run the regalloc tier",
-            bench.name
-        );
-        // The stack tier runs the same lockstep: interp == stack == regalloc.
-        let mut stack = CompiledSim::with_tier(prog, Tier::Stack).unwrap();
+        let mut sim = CompiledSim::new(prog).unwrap_or_else(|e| {
+            panic!("{} must translate to the regalloc tier: {}", bench.name, e)
+        });
 
         let mut ienv = BufferEnv::new();
         let mut cenv = BufferEnv::new();
@@ -49,16 +43,9 @@ fn run_differential(quiescent: bool) {
             ienv.add_file(path.clone(), data.clone());
             cenv.add_file(path.clone(), data);
         }
-
-        let mut senv = BufferEnv::new();
-        if let Some(path) = &bench.input_path {
-            let data = workloads::input_data(&bench.name, 4 * ticks);
-            senv.add_file(path.clone(), data);
-        }
         for t in 0..ticks {
             interp.tick(&bench.clock, &mut ienv).unwrap();
             sim.tick(&bench.clock, &mut cenv).unwrap();
-            stack.tick(&bench.clock, &mut senv).unwrap();
             // Snapshot comparison every tick would be quadratic in state
             // size; sample the early ticks densely and then every 32nd.
             if t < 8 || t % 32 == 0 {
@@ -71,24 +58,8 @@ fn run_differential(quiescent: bool) {
                     t,
                     quiescent
                 );
-                assert_eq!(
-                    isnap,
-                    stack.save_state(),
-                    "{}: stack-tier snapshots diverge at tick {} (quiescent={})",
-                    bench.name,
-                    t,
-                    quiescent
-                );
             }
         }
-        assert_eq!(
-            stack.save_state(),
-            sim.save_state(),
-            "{}: tiers diverge (quiescent={})",
-            bench.name,
-            quiescent
-        );
-        assert_eq!(ienv.output_text(), senv.output_text());
         assert_eq!(
             interp.save_state(),
             sim.save_state(),
@@ -170,13 +141,6 @@ fn workloads_use_the_compiled_engine_with_identical_event_streams() {
                 bench.name,
                 quiescent
             );
-            assert_eq!(
-                fast.compiled_tier(),
-                Some(CompiledTier::RegAlloc),
-                "{} (quiescent={}) fell back to the stack tier",
-                bench.name,
-                quiescent
-            );
             assert_eq!(slow.mode(), ExecMode::Software);
             if let Some(path) = &bench.input_path {
                 let data = workloads::input_data(&bench.name, 4 * ticks as usize);
@@ -238,7 +202,7 @@ fn snapshots_migrate_between_engines_mid_run() {
         // compiled engine. Both restores re-run initial blocks.
         let mut a2 = Interpreter::new(design.clone());
         a2.restore_state(&a.save_state());
-        let mut sim = CompiledSim::new(compile(&design).unwrap());
+        let mut sim = CompiledSim::new(compile(&design).unwrap()).unwrap();
         sim.restore_state(&b.save_state());
         for _ in 0..half {
             a2.tick(&bench.clock, &mut ienv).unwrap();

@@ -1,17 +1,16 @@
 //! Cross-engine differential fuzzing: random designs from the
-//! `synergy-workloads` fuzz generator run in lockstep on the reference
-//! interpreter, *both* compiled-engine tiers (stack bytecode and the
-//! register-allocated word tier), and an optimizer leg (the full
-//! `synergy-opt` pass pipeline over the netlist before regalloc lowering),
-//! and must stay bit-identical — snapshots at every tick, `$display`
-//! output, raised effects, and exit codes. Any divergence is an engine (or
-//! optimizer) bug by definition (the interpreter is the semantic
-//! reference), and its seed gets pinned in the regression corpus below.
-//! Constructing the regalloc tier strictly (no silent stack fallback) also
-//! proves the translation is total over the fuzz envelope.
+//! `synergy-workloads` fuzz generator run three-way in lockstep on the
+//! reference interpreter, the compiled engine (the register-allocated word
+//! tier), and an optimizer leg (the full `synergy-opt` pass pipeline over
+//! the netlist before regalloc lowering), and must stay bit-identical —
+//! snapshots at every tick, `$display` output, raised effects, and exit
+//! codes. Any divergence is an engine (or optimizer) bug by definition (the
+//! interpreter is the semantic reference), and its seed gets pinned in the
+//! regression corpus below. Every compiled leg must construct, which also
+//! proves the regalloc translation is total over the fuzz envelope.
 
 use proptest::prelude::*;
-use synergy::codegen::{compile, CompiledSim, Tier};
+use synergy::codegen::{compile, CompiledSim};
 use synergy::interp::{BufferEnv, Interpreter};
 use synergy::workloads::{fuzz_input_data, generate_fuzz_design};
 
@@ -31,13 +30,12 @@ fn assert_engines_agree(seed: u64) {
         )
     });
     let mut interp = Interpreter::new(design);
-    let mut sim = CompiledSim::with_tier(prog.clone(), Tier::RegAlloc).unwrap_or_else(|e| {
+    let mut sim = CompiledSim::new(prog.clone()).unwrap_or_else(|e| {
         panic!(
             "seed {}: regalloc tier must translate every fuzz design: {}\n{}",
             seed, e, d.source
         )
     });
-    let mut stack = CompiledSim::with_tier(prog.clone(), Tier::Stack).unwrap();
     let mut oprog = prog;
     let report = synergy::opt::optimize(&mut oprog);
     assert!(
@@ -46,7 +44,7 @@ fn assert_engines_agree(seed: u64) {
         seed,
         d.source
     );
-    let mut osim = CompiledSim::with_tier(oprog, Tier::RegAlloc).unwrap_or_else(|e| {
+    let mut osim = CompiledSim::new(oprog).unwrap_or_else(|e| {
         panic!(
             "seed {}: optimized netlist left the regalloc envelope: {}\n{}",
             seed, e, d.source
@@ -54,12 +52,10 @@ fn assert_engines_agree(seed: u64) {
     });
     let mut ienv = BufferEnv::new();
     let mut cenv = BufferEnv::new();
-    let mut senv = BufferEnv::new();
     let mut oenv = BufferEnv::new();
     if let Some(path) = &d.input_path {
         let data = fuzz_input_data(seed, TICKS / 2);
         ienv.add_file(path.clone(), data.clone());
-        senv.add_file(path.clone(), data.clone());
         oenv.add_file(path.clone(), data.clone());
         cenv.add_file(path.clone(), data);
     }
@@ -70,23 +66,7 @@ fn assert_engines_agree(seed: u64) {
         // of the differential contract.
         let ir = interp.tick(&d.clock, &mut ienv);
         let cr = sim.tick(&d.clock, &mut cenv);
-        let sr = stack.tick(&d.clock, &mut senv);
         let or = osim.tick(&d.clock, &mut oenv);
-        match (&cr, &sr) {
-            (Ok(()), Ok(())) => {}
-            (Err(a), Err(b)) => assert_eq!(
-                a.to_string(),
-                b.to_string(),
-                "seed {}: tiers error differently at tick {}\n{}",
-                seed,
-                t,
-                d.source
-            ),
-            _ => panic!(
-                "seed {}: only one tier errored at tick {} (regalloc: {:?}, stack: {:?})\n{}",
-                seed, t, cr, sr, d.source
-            ),
-        }
         match (&cr, &or) {
             (Ok(()), Ok(())) => {}
             (Err(a), Err(b)) => assert_eq!(
@@ -133,14 +113,6 @@ fn assert_engines_agree(seed: u64) {
         );
         assert_eq!(
             isnap,
-            stack.save_state(),
-            "seed {}: stack-tier snapshots diverge at tick {}\n{}",
-            seed,
-            t,
-            d.source
-        );
-        assert_eq!(
-            isnap,
             osim.save_state(),
             "seed {}: optimized snapshots diverge at tick {}\n{}",
             seed,
@@ -171,13 +143,6 @@ fn assert_engines_agree(seed: u64) {
         ienv.output_text(),
         cenv.output_text(),
         "seed {}: output diverges\n{}",
-        seed,
-        d.source
-    );
-    assert_eq!(
-        ienv.output_text(),
-        senv.output_text(),
-        "seed {}: stack-tier output diverges\n{}",
         seed,
         d.source
     );

@@ -5,7 +5,7 @@
 //! execution.
 
 use proptest::prelude::*;
-use synergy::codegen::{compile as codegen_compile, CompiledSim, Tier};
+use synergy::codegen::{compile as codegen_compile, CompiledSim};
 use synergy::interp::{BufferEnv, Interpreter};
 use synergy::runtime::{CheckpointError, EnginePolicy, ExecMode};
 use synergy::vlog::{parse, parser, printer, Bits};
@@ -167,7 +167,7 @@ proptest! {
         // compiled).
         let mut a2 = Interpreter::new(design.clone());
         a2.restore_state(&a.save_state());
-        let mut sim = CompiledSim::new(prog);
+        let mut sim = CompiledSim::new(prog).unwrap();
         sim.restore_state(&b.save_state());
         for _ in 0..rest {
             a2.tick(&d.clock, &mut ienv).unwrap();
@@ -229,10 +229,9 @@ proptest! {
     }
 
     /// A snapshot migrates through the full software ladder — interpreter →
-    /// stack tier → regalloc tier → interpreter — on fuzzed designs with
-    /// bit-identical onward execution at every hop (the property the
-    /// compiled engine's tier knob relies on: tiers are interchangeable at
-    /// any snapshot boundary).
+    /// regalloc tier → interpreter — on fuzzed designs with bit-identical
+    /// onward execution at every hop (engines are interchangeable at any
+    /// snapshot boundary).
     #[test]
     fn snapshots_migrate_across_tiers_for_random_designs(
         seed in any::<u64>(),
@@ -258,31 +257,20 @@ proptest! {
             warm.tick(&d.clock, &mut menv).unwrap();
         }
 
-        // Hop 1: interpreter -> stack tier. (The reference hops onto a
+        // Hop 1: interpreter -> regalloc tier. (The reference hops onto a
         // fresh interpreter at each boundary too, since restores re-run
         // initial blocks.)
-        let mut r2 = Interpreter::new(design.clone());
-        r2.restore_state(&reference.save_state());
-        let mut stack = CompiledSim::with_tier(prog.clone(), Tier::Stack).unwrap();
-        stack.restore_state(&warm.save_state());
-        for _ in 0..rest {
-            r2.tick(&d.clock, &mut renv).unwrap();
-            stack.tick(&d.clock, &mut menv).unwrap();
-        }
-        prop_assert_eq!(r2.save_state(), stack.save_state());
-
-        // Hop 2: stack tier -> regalloc tier.
         let mut r3 = Interpreter::new(design.clone());
-        r3.restore_state(&r2.save_state());
-        let mut word = CompiledSim::with_tier(prog, Tier::RegAlloc).unwrap();
-        word.restore_state(&stack.save_state());
+        r3.restore_state(&reference.save_state());
+        let mut word = CompiledSim::new(prog).unwrap();
+        word.restore_state(&warm.save_state());
         for _ in 0..rest {
             r3.tick(&d.clock, &mut renv).unwrap();
             word.tick(&d.clock, &mut menv).unwrap();
         }
         prop_assert_eq!(r3.save_state(), word.save_state());
 
-        // Hop 3: regalloc tier -> interpreter.
+        // Hop 2: regalloc tier -> interpreter.
         let mut r4 = Interpreter::new(design.clone());
         r4.restore_state(&r3.save_state());
         let mut back = Interpreter::new(design);
@@ -310,38 +298,33 @@ proptest! {
         let design = synergy::vlog::compile(&d.source, &d.top).unwrap();
         let prog = codegen_compile(&design).unwrap();
         let mut env = BufferEnv::new();
-        let mut sim = CompiledSim::with_tier(prog.clone(), Tier::RegAlloc).unwrap();
+        let mut sim = CompiledSim::new(prog.clone()).unwrap();
         for _ in 0..ticks {
             sim.tick(&d.clock, &mut env).unwrap();
         }
         let snapshot = sim.save_state();
-        let mut restored = CompiledSim::with_tier(prog, Tier::RegAlloc).unwrap();
+        let mut restored = CompiledSim::new(prog).unwrap();
         restored.restore_state(&snapshot);
         prop_assert_eq!(restored.save_state(), snapshot);
     }
 
     /// The durable checkpoint codec is the identity on random designs across
-    /// all three engines: a runtime checkpointed mid-run restores to
+    /// the software engines: a runtime checkpointed mid-run restores to
     /// bit-identical state, continues in lockstep with the uninterrupted
     /// lineage (stream positions, RNG, and output included), and re-encodes
     /// to byte-identical checkpoint bytes.
     #[test]
     fn runtime_checkpoints_round_trip_on_random_designs(
         seed in any::<u64>(),
-        engine in 0usize..3,
+        compiled in any::<bool>(),
         warmup in 1u64..10,
         rest in 1u64..10,
     ) {
         let d = generate_fuzz_design(seed);
-        let (policy, tier) = match engine {
-            0 => (EnginePolicy::Interpreter, Tier::RegAlloc),
-            1 => (EnginePolicy::Auto, Tier::Stack),
-            _ => (EnginePolicy::Auto, Tier::RegAlloc),
-        };
+        let policy = if compiled { EnginePolicy::Auto } else { EnginePolicy::Interpreter };
         let mut rt = Runtime::with_policy(
             format!("fuzz{}", seed), &d.source, &d.top, &d.clock, policy,
         ).unwrap();
-        rt.set_compiled_tier(tier).unwrap();
         if let Some(path) = &d.input_path {
             rt.add_file(path.clone(), fuzz_input_data(seed, (warmup + rest) as usize));
         }
